@@ -21,7 +21,6 @@ from typing import Iterable, List
 import numpy as np
 
 from repro.signal.pulses import Pulse
-from repro.signal.sampling import place_pulse
 
 #: Default exponential decay constant of the diffuse tail [ns].  Kulmer et
 #: al. (paper ref. [8]) report diffuse decay constants of ~20 ns for the
@@ -211,19 +210,60 @@ class ChannelRealization:
         maps buffer sample 0 to an absolute time, so a caller can window
         any part of the response.
 
+        The result is bit-identical to calling
+        :func:`~repro.signal.sampling.place_pulse` once per tap, but every
+        fractionally delayed tap is shifted by one batched
+        ``(n_taps, L + 1)`` FFT: the padded pulse's spectrum times the
+        per-tap phase ramp, in the serial left-to-right product order.
+        Taps are then added in tap order, so each buffer element sums in
+        the same order, and clipped at the buffer edges as ``place_pulse``
+        clips them.
+
         Returns a complex array of length ``n_samples``.
         """
         if sampling_period_s is None:
             sampling_period_s = pulse.sampling_period_s
         buffer = np.zeros(n_samples, dtype=complex)
-        for tap in self._taps:
-            position = (tap.delay_s - time_origin_s) / sampling_period_s
-            place_pulse(
-                buffer,
-                pulse.samples,
-                position,
-                amplitude=tap.amplitude,
-                peak_index=pulse.peak_index,
+        samples = pulse.samples
+        length = len(samples)
+        positions = (
+            np.array([tap.delay_s for tap in self._taps], dtype=float)
+            - time_origin_s
+        ) / sampling_period_s
+        integers = np.floor(positions)
+        fractions = positions - integers
+        fractional = fractions != 0.0
+        starts = integers.astype(np.int64) - pulse.peak_index
+        # Fractionally shifted taps carry one padding sample (see
+        # placed_segment), so the shift cannot wrap energy around.
+        lengths = length + fractional
+        src_starts = np.maximum(0, -starts)
+        src_stops = lengths - np.maximum(0, starts + lengths - n_samples)
+
+        shifted = None
+        if fractional.any():
+            padded = np.concatenate([samples, np.zeros(1, dtype=samples.dtype)])
+            base = -2j * np.pi * np.fft.fftfreq(length + 1)
+            shifted = np.fft.ifft(
+                np.fft.fft(padded)[np.newaxis, :]
+                * np.exp(base[np.newaxis, :] * fractions[fractional][:, np.newaxis]),
+                axis=1,
+            )
+            if np.isrealobj(samples):
+                shifted = shifted.real
+        rows = iter(() if shifted is None else shifted)
+        for tap, is_fractional, start, src_start, src_stop in zip(
+            self._taps,
+            fractional.tolist(),
+            starts.tolist(),
+            src_starts.tolist(),
+            src_stops.tolist(),
+        ):
+            segment = next(rows) if is_fractional else samples
+            if src_start >= src_stop:
+                continue  # the pulse lies entirely outside the buffer
+            buffer[start + src_start:start + src_stop] += (
+                tap.amplitude * segment[src_start:src_stop]
             )
         return buffer
 

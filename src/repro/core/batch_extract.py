@@ -88,26 +88,34 @@ def _subtract_fractional_group(
 
     m = plan.small_fft_length
     forward = sp_fft.fft(shifted, m, axis=1)
+    # The product is a temporary: transform it in place.
     aligned = sp_fft.ifft(
         forward[:, np.newaxis, :] * plan.small_spectra[np.newaxis, :, :],
         axis=2,
+        overwrite_x=True,
     )
+    # The serial window is ``aligned`` rotated left by ``m - lead``: its
+    # wrapped head ``aligned[m - lead:]`` covers outputs [start - lead,
+    # start) and ``aligned[:tail]`` covers [start, start + tail).  Each
+    # half is subtracted straight from ``aligned`` — no rotated copy.
     lead = plan.max_template_length - 1
     tail = plan.max_template_length + shifted.shape[1] - 1
-    ordered = np.concatenate(
-        [aligned[:, :, m - lead:], aligned[:, :, :tail]], axis=2
-    )
-    width = ordered.shape[2]
     n_fine = plan.n_fine
     for k, (row, _fraction, start, amplitude) in enumerate(group):
-        first = start - lead
-        a = max(0, first)
-        b = min(n_fine, first + width)
-        if a < b:
-            outputs[row, :, a:b] -= (
-                amplitude * ordered[k, :, a - first:b - first]
+        a = max(0, start - lead)
+        b = min(n_fine, start + tail)
+        if a >= b:
+            continue
+        split = min(max(a, start), b)
+        if a < split:
+            outputs[row, :, a:split] -= (
+                amplitude * aligned[k, :, m - start + a:m - start + split]
             )
-            np.abs(outputs[row, :, a:b], out=magnitudes[row, :, a:b])
+        if split < b:
+            outputs[row, :, split:b] -= (
+                amplitude * aligned[k, :, split - start:b - start]
+            )
+        np.abs(outputs[row, :, a:b], out=magnitudes[row, :, a:b])
 
 
 def extract_responses_batch(
@@ -149,9 +157,6 @@ def extract_responses_batch(
     active = np.ones(n_rows, dtype=bool)
     update_counter = metrics.counter(f"{metric_prefix}.incremental_updates")
     template_ffts: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    # peak_index is a computed property (an argmax per access) — read
-    # each template's placement constants once per call, not per row.
-    peak_anchor = tuple(int(t.peak_index) for t in plan.templates)
     template_lengths = tuple(int(t.samples.shape[0]) for t in plan.templates)
 
     for iteration in range(config.max_responses):
@@ -192,7 +197,7 @@ def extract_responses_batch(
                 length = template_lengths[t]
                 integer = int(np.floor(position))
                 fraction = float(position - integer)
-                start = integer - peak_anchor[t]
+                start = integer - plan.templates[t].peak_index
                 if fraction != 0.0:
                     if start >= 0 and start + length + 1 <= n_fine:
                         fractional_groups.setdefault(t, []).append(

@@ -27,6 +27,9 @@ __all__ = ["MicroBatcher", "STOP"]
 #: Sentinel that ends a batcher's stream (enqueue after all real items).
 STOP = object()
 
+#: Internal marker: the slow-path wait ran out its deadline budget.
+_TIMED_OUT = object()
+
 
 class MicroBatcher:
     """Gather queue items into batches bounded by size and delay.
@@ -100,11 +103,43 @@ class MicroBatcher:
                 remaining = flush_at - loop.time()
                 if remaining <= 0:
                     return batch, "deadline", False
-                try:
-                    item = await asyncio.wait_for(queue.get(), remaining)
-                except asyncio.TimeoutError:
+                item = await self._get_within(queue, remaining, batch)
+                if item is _TIMED_OUT:
                     return batch, "deadline", False
             if item is STOP:
                 return batch, "drain", True
             batch.append(item)
         return batch, "full", False
+
+    @staticmethod
+    async def _get_within(
+        queue: "asyncio.Queue[Any]", timeout_s: float, batch: List[Any]
+    ) -> Any:
+        """The next queue item, or :data:`_TIMED_OUT` after ``timeout_s``.
+
+        ``asyncio.wait_for(queue.get(), ...)`` can swallow a cancel that
+        lands in the same tick as an item (Python 3.11 returns the item
+        instead of raising), so the fill would run out its whole
+        deadline.  A getter task awaited through ``asyncio.wait`` lets
+        the cancel through on every Python version: an item the getter
+        already took goes into ``batch`` (the caller's ``into`` list)
+        before the cancel propagates, and an unfinished getter is
+        cancelled, which leaves its item in the queue.  A :data:`STOP`
+        the getter took is dropped: the cancelled caller reads no
+        further.
+        """
+        getter = asyncio.ensure_future(queue.get())
+        try:
+            await asyncio.wait((getter,), timeout=timeout_s)
+        except asyncio.CancelledError:
+            if getter.done() and not getter.cancelled():
+                item = getter.result()
+                if item is not STOP:
+                    batch.append(item)
+            else:
+                getter.cancel()
+            raise
+        if getter.done():
+            return getter.result()
+        getter.cancel()
+        return _TIMED_OUT

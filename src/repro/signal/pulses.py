@@ -20,6 +20,7 @@ monotone and known to the initiator, which holds here by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,9 +171,14 @@ class Pulse:
         """Total duration of the sampled template."""
         return len(self.samples) * self.sampling_period_s
 
-    @property
+    @cached_property
     def peak_index(self) -> int:
-        """Index of the template peak (its nominal arrival-time anchor)."""
+        """Index of the template peak (its nominal arrival-time anchor).
+
+        Computed once per pulse; the cached value lives in the instance
+        ``__dict__`` (not a dataclass field), so equality and hashing
+        ignore it and :meth:`__getstate__` leaves it out of pickles.
+        """
         return int(np.argmax(np.abs(self.samples)))
 
     @property
@@ -200,6 +206,12 @@ class Pulse:
         right = _crossing(np.arange(peak + 1, len(mag)))
         left = _crossing(np.arange(peak - 1, -1, -1))
         return (left + right) * self.sampling_period_s
+
+    def __getstate__(self) -> dict:
+        """Pickle the dataclass fields only, not the cached peak index."""
+        state = dict(self.__dict__)
+        state.pop("peak_index", None)
+        return state
 
     def energy(self) -> float:
         """Template energy (1.0 by construction)."""

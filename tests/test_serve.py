@@ -418,6 +418,44 @@ class TestAccounting:
         )
         assert terminal == accepted
 
+    def test_non_drain_stop_racing_a_late_arrival(self):
+        """A request that lands in the same tick as the stop's cancel
+        must not swallow it: stop returns promptly (not after the 5 s
+        batch deadline) and every request is accounted exactly once."""
+
+        async def scenario():
+            service = RangingService(
+                _engine(),
+                ServeConfig(
+                    n_shards=1,
+                    batch_size=64,
+                    max_batch_delay_s=5.0,
+                    queue_depth=64,
+                ),
+            )
+            await service.start()
+            requests = _requests()
+            futures = [service.enqueue(request) for request in requests[:3]]
+            await asyncio.sleep(0.05)  # the shard loop now waits in fill
+            futures.append(service.enqueue(requests[3]))
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            await asyncio.wait_for(service.stop(drain=False), 4.0)
+            took = loop.time() - started
+            results = await asyncio.gather(*futures)
+            return results, took, service
+
+        results, took, service = asyncio.run(scenario())
+        assert took < 1.0
+        assert [r.status for r in results] == ["cancelled"] * 4
+        assert service.pending == 0
+        metrics = service.metrics
+        terminal = sum(
+            metrics.counter(f"serve.{status}").value
+            for status in ("completed", "shed", "cancelled", "errors")
+        )
+        assert terminal == metrics.counter("serve.accepted").value == 4
+
     def test_caller_cancellation_is_accounted(self):
         async def scenario():
             service = RangingService(

@@ -9,12 +9,15 @@ integers and pin down the three contracts the service builds on:
 2. **Deadline monotonicity** — a flush happens no later than
    ``max_delay_s`` (plus scheduling slack) after its first item, and
    only short batches may flush for cause ``"deadline"``.
-3. **Cancellation safety** — a ``fill`` cancelled mid-gather leaves
-   every consumed item reachable via the ``into`` out-parameter: items
-   in ``into`` plus items still queued equal items enqueued.
+3. **Cancellation safety** — a ``fill`` cancelled mid-gather raises
+   ``CancelledError`` promptly, even when items arrive in the same tick
+   as the cancel, and leaves every consumed item reachable via the
+   ``into`` out-parameter: items in ``into`` plus items still queued
+   equal items enqueued.
 """
 
 import asyncio
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,7 +153,9 @@ class TestCancellationSafety:
     )
     @settings(max_examples=25, deadline=None)
     def test_cancelled_fill_loses_nothing(self, n_ready, n_late):
-        """items(into) + items(queue) == items(enqueued), no duplicates."""
+        """items(into) + items(queue) == items(enqueued), no duplicates,
+        and the cancel raises at once instead of waiting out the
+        deadline budget."""
 
         async def scenario():
             queue = asyncio.Queue()
@@ -165,16 +170,21 @@ class TestCancellationSafety:
             for item in range(n_ready, n_ready + n_late):
                 queue.put_nowait(item)
             task.cancel()
+            cancelled_at = time.perf_counter()
+            raised = False
             try:
                 await task
             except asyncio.CancelledError:
-                pass
+                raised = True
+            waited = time.perf_counter() - cancelled_at
             left = []
             while not queue.empty():
                 left.append(queue.get_nowait())
-            return held, left
+            return held, left, raised, waited
 
-        held, left = _drive(scenario())
+        held, left, raised, waited = _drive(scenario())
+        assert raised, "a cancelled fill must raise CancelledError"
+        assert waited < 1.0  # far below the 5 s deadline budget
         assert sorted(held + left) == list(range(n_ready + n_late))
         assert held == sorted(held)  # consumed prefix stays ordered
 
