@@ -26,7 +26,7 @@ single core; plus an absolute 250 detections/s/core floor), or a B=64
 batched classification run slower than 1.2x its serial reference, or a
 worker-side plan-cache hit rate below 95 % — makes the script exit
 non-zero, so CI can run it as a cheap end-to-end regression gate
-(``--quick``, pinned to the NumPy backend via ``REPRO_BACKEND=numpy``).
+(``--quick``).
 
 Usage::
 
@@ -46,7 +46,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.constants import CIR_SAMPLING_PERIOD_S as TS
-from repro.core.backend import get_backend
 from repro.core.batch import detect_batch
 from repro.core.batch_id import classify_batch
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
@@ -61,8 +60,8 @@ RTOL = 1e-9
 
 #: Throughput SLO: the warm B=64 batched pass must *beat* the serial
 #: fast path by at least this factor on multicore hosts, where the
-#: backend's row-parallel transforms (``workers=-1``) have cores to
-#: spread across.
+#: row-parallel transforms (``workers=-1``) have cores to spread
+#: across.
 BATCH_SPEEDUP_FLOOR = 2.0
 
 #: On a single-core host the batched win comes only from amortised
@@ -528,7 +527,6 @@ def main(argv=None) -> int:
     )
     slo = {
         "cpu_count": cpu_count,
-        "backend": get_backend().name,
         "speedup_floor": speedup_floor,
         "b64_speedup": b64["speedup_vs_serial_fast"],
         "detects_per_s": detects_per_s,
@@ -536,7 +534,7 @@ def main(argv=None) -> int:
         "min_detects_per_s_per_core": MIN_DETECTS_PER_S_PER_CORE,
     }
     print(
-        f"throughput SLO ({cpu_count} core(s), backend {slo['backend']}): "
+        f"throughput SLO ({cpu_count} core(s)): "
         f"B=64 speedup {slo['b64_speedup']:.2f}x (floor "
         f"{speedup_floor:.1f}x), "
         f"{slo['detects_per_s_per_core']:.0f} detects/s/core (floor "

@@ -6,7 +6,7 @@ from repro.localization.anchors import AnchorNetwork
 
 
 def test_localization(benchmark):
-    result = localization_exp.run(n_waypoints=16)
+    result = localization_exp.run(trials=16)
     print()
     print(result.render())
 

@@ -13,9 +13,7 @@
   to the serial fast path.
 * :mod:`repro.core.batch_extract` — the batch-vectorised
   search-and-subtract extraction loop shared by both batched engines.
-* :mod:`repro.core.backend` — the pluggable array backend the batched
-  plans run their transforms on (NumPy/SciPy default; optional
-  CuPy/torch selected via ``set_backend`` or ``REPRO_BACKEND``).
+  Both batched engines run on NumPy with ``scipy.fft`` transforms.
 * :mod:`repro.core.threshold` — the threshold-based baseline detector
   (Falsi et al., used as comparison in Sect. VI).
 * :mod:`repro.core.pulse_id` — responder identification from pulse shape
@@ -38,13 +36,6 @@
 """
 
 from repro.core.matched_filter import matched_filter
-from repro.core.backend import (
-    ArrayBackend,
-    BackendUnavailable,
-    available_backends,
-    get_backend,
-    set_backend,
-)
 from repro.core.detection import (
     DetectedResponse,
     SearchAndSubtract,
@@ -86,11 +77,6 @@ from repro.core.scheme import CombinedScheme, ResponderAssignment
 
 __all__ = [
     "matched_filter",
-    "ArrayBackend",
-    "BackendUnavailable",
-    "available_backends",
-    "get_backend",
-    "set_backend",
     "BatchClassifierPlan",
     "BatchDetectorPlan",
     "ClassifierEngine",

@@ -23,9 +23,8 @@ pocketfft evaluates a row of a 2-D transform with the same kernel as
 the 1-D call, so results are byte-identical in practice and bounded at
 ``rtol <= 1e-9`` by ``tests/test_properties_detection.py`` regardless.
 
-All batch transforms go through a pluggable array backend
-(:mod:`repro.core.backend` — NumPy+SciPy default, optional CuPy/torch),
-selected per plan; the backend name is part of the plan cache key.
+All batch transforms are ``scipy.fft`` calls with ``workers=-1`` on
+NumPy arrays.
 
 Batch plans are memoised per ``(bank, CIR length, factor, B)`` shape in
 the same ``detector_plans`` cache the single-CIR path uses; the key
@@ -37,12 +36,11 @@ can never be served to the single-CIR path.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import fft as sp_fft
 
-from repro.core.backend import ArrayBackend, resolve_backend
 from repro.core.batch_extract import extract_responses_batch
 from repro.core.detection import (
     DetectedResponse,
@@ -82,23 +80,16 @@ class BatchDetectorPlan:
     ``tests/test_properties_detection.py::TestPlanCacheBatchKey``.
     """
 
-    def __init__(
-        self,
-        base: DetectorPlan,
-        batch_size: int,
-        backend: Union[ArrayBackend, str, None] = None,
-    ) -> None:
+    def __init__(self, base: DetectorPlan, batch_size: int) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.base = base
         self.batch_size = int(batch_size)
-        self.backend = resolve_backend(backend)
-        xp = self.backend
-        self._product = xp.empty(
+        self._product = np.empty(
             (self.batch_size, len(base.templates), base.fft_length),
             dtype=complex,
         )
-        self._magnitudes = xp.empty(
+        self._magnitudes = np.empty(
             (self.batch_size, len(base.templates), base.n_fine),
             dtype=float,
         )
@@ -106,10 +97,9 @@ class BatchDetectorPlan:
         # (plus the split Nyquist bin) are ever written; the middle
         # stays zero from construction, so zeroing once here replaces a
         # ~8 MB memset per engine pass at B=64.
-        self._padded = xp.zeros(
+        self._padded = np.zeros(
             (self.batch_size, base.n_fine), dtype=complex
         )
-        self._spectra = xp.asarray(base.spectra)
 
     def magnitudes(self, outputs: np.ndarray) -> np.ndarray:
         """``np.abs(outputs)`` into the plan's reusable float scratch.
@@ -121,7 +111,7 @@ class BatchDetectorPlan:
         :meth:`filter_bank`: the result is valid (and mutable) until the
         next call on this plan.
         """
-        return self.backend.abs(outputs, out=self._magnitudes)
+        return np.abs(outputs, out=self._magnitudes)
 
     @property
     def n_templates(self) -> int:
@@ -134,14 +124,9 @@ class BatchDetectorPlan:
         returns the ``(B, n_templates, n_fine)`` complex output tensor
         (same aliasing contract as :meth:`filter_bank`).  Equivalent to
         ``filter_bank(fft_upsample_batch(cirs, U))`` but with the
-        spectrum zero-padding done into the plan's preallocated scratch
-        and every transform routed through the plan's array backend —
-        on the default NumPy backend that is ``scipy.fft`` with
-        ``workers=-1`` (each row evaluated with the same pocketfft
-        kernel as the 1-D call).
+        spectrum zero-padding done into the plan's preallocated scratch.
         """
-        xp = self.backend
-        cirs = xp.asarray(cirs, dtype=complex)
+        cirs = np.asarray(cirs, dtype=complex)
         if cirs.shape != (self.batch_size, self.base.cir_length):
             raise ValueError(
                 f"plan built for shape "
@@ -153,7 +138,7 @@ class BatchDetectorPlan:
             working = cirs  # read-only below; extraction mutates outputs only
         else:
             n = self.base.cir_length
-            spectrum = xp.fft(cirs, axis=1)
+            spectrum = sp_fft.fft(cirs, axis=1, workers=-1)
             padded = self._padded
             # Same spectrum split as fft_upsample_batch: positive
             # frequencies at the head, negative at the tail, an even
@@ -165,16 +150,9 @@ class BatchDetectorPlan:
             if n % 2 == 0:
                 padded[:, half] = spectrum[:, half] / 2.0
                 padded[:, -half] = spectrum[:, half] / 2.0
-            working = xp.ifft(padded, axis=1)
+            working = sp_fft.ifft(padded, axis=1, workers=-1)
             working *= factor
-        forward = xp.fft(working, self.base.fft_length, axis=1)
-        xp.multiply(
-            forward[:, np.newaxis, :],
-            self._spectra[np.newaxis, :, :],
-            out=self._product,
-        )
-        outputs = xp.ifft(self._product, axis=2, overwrite=True)
-        return outputs[:, :, : self.base.n_fine]
+        return self.filter_bank(working)
 
     def filter_bank(self, working: np.ndarray) -> np.ndarray:
         """Matched-filter B upsampled signals against the whole bank.
@@ -225,13 +203,21 @@ class BatchDetectorPlan:
         return outputs[:, :, : self.base.n_fine]
 
 
-def _check_plan_shape(
+def _check_plan(
     plan: "BatchDetectorPlan",
+    templates: Optional[Sequence[Pulse]],
+    sampling_period_s: float,
     batch_size: int,
     cir_length: int,
     upsample_factor: int,
 ) -> None:
-    """Reject an explicitly supplied plan whose shape mismatches the call."""
+    """Reject an explicitly supplied plan that was built for another call.
+
+    The plan must match the call's shape (B, N, U), its fine tap period
+    ``sampling_period_s / U`` and, unless ``templates`` is ``None``
+    (the caller already knows the bank is the plan's own), its template
+    bank by ``(register, bandwidth)`` in bank order.
+    """
     if (
         plan.batch_size != batch_size
         or plan.base.cir_length != cir_length
@@ -243,6 +229,22 @@ def _check_plan_shape(
             f"U={plan.base.upsample_factor}) does not match the call "
             f"(B={batch_size}, N={cir_length}, U={upsample_factor})"
         )
+    built = plan.base.templates
+    target = sampling_period_s / upsample_factor
+    # The same tolerance DetectorPlan.build resamples by.
+    if abs(built[0].sampling_period_s - target) > 1e-9 * abs(target):
+        raise ValueError(
+            "explicit plan was built for a fine tap period of "
+            f"{built[0].sampling_period_s!r} s, the call needs {target!r} s"
+        )
+    if templates is not None and [
+        (int(t.register), float(t.bandwidth_hz)) for t in templates
+    ] != [(int(t.register), float(t.bandwidth_hz)) for t in built]:
+        raise ValueError(
+            "explicit plan was built for another template bank "
+            f"(registers {[int(t.register) for t in built]}), the call "
+            f"supplied registers {[int(t.register) for t in templates]}"
+        )
 
 
 def batch_detector_plan(
@@ -251,7 +253,6 @@ def batch_detector_plan(
     upsample_factor: int,
     sampling_period_s: float,
     batch_size: int,
-    backend: Optional[str] = None,
 ) -> BatchDetectorPlan:
     """A memoised :class:`BatchDetectorPlan` for a batched shape.
 
@@ -260,18 +261,12 @@ def batch_detector_plan(
     its own cache entry; only the thin batch wrapper (plus its scratch
     buffer) is stored per batch size.  Both lookups count toward the
     ``detector_plans`` hit rate shown in the runtime metrics report.
-
-    ``backend`` selects the array backend the plan's transforms run on
-    (``None`` follows the process default, see
-    :func:`repro.core.backend.get_backend`); the resolved name is part
-    of the cache key, so plans for different backends never collide.
     """
     from repro.core.plan import detector_plan
 
-    resolved = resolve_backend(backend)
     key = plan_cache_key(
         templates, cir_length, upsample_factor, sampling_period_s,
-        batch_size=batch_size, backend=resolved.name,
+        batch_size=batch_size,
     )
 
     def _build() -> BatchDetectorPlan:
@@ -279,7 +274,7 @@ def batch_detector_plan(
             base = detector_plan(
                 templates, cir_length, upsample_factor, sampling_period_s
             )
-            return BatchDetectorPlan(base, batch_size, backend=resolved)
+            return BatchDetectorPlan(base, batch_size)
 
     return get_cache("detector_plans").get_or_create(key, _build)
 
@@ -322,7 +317,8 @@ def detect_batch(
         are mutated on every pass — so concurrent engine passes from
         multiple threads (e.g. the :mod:`repro.serve` shard pool) must
         each bring a private plan instead.  The plan's shape (batch
-        size, CIR length, upsample factor) must match the call.
+        size, CIR length, upsample factor), fine tap period and
+        template bank must match the call.
 
     Returns
     -------
@@ -363,21 +359,22 @@ def detect_batch(
             batch_size,
         )
     else:
-        _check_plan_shape(
-            plan, batch_size, cir_length, config.upsample_factor
+        _check_plan(
+            plan,
+            templates,
+            sampling_period_s,
+            batch_size,
+            cir_length,
+            config.upsample_factor,
         )
     with metrics.timer("detector.batch_filter_pass").time():
         outputs = plan.filter_pass(cirs)
         magnitudes = plan.magnitudes(outputs)
-    # Extraction runs host-side: device backends hand back NumPy views
-    # here so the decision loop stays byte-identical to the serial path.
-    host_outputs = plan.backend.to_numpy(outputs)
-    host_magnitudes = plan.backend.to_numpy(magnitudes)
     with metrics.timer("detector.batch_extract").time():
         results = extract_responses_batch(
             plan.base,
-            host_outputs,
-            host_magnitudes,
+            outputs,
+            magnitudes,
             config,
             sampling_period_s,
             stds,

@@ -41,8 +41,11 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
-from repro.core.batch import BatchDetectorPlan, batch_detector_plan
+from repro.core.batch import (
+    BatchDetectorPlan,
+    _check_plan,
+    batch_detector_plan,
+)
 from repro.core.batch_extract import extract_responses_batch
 from repro.core.detection import (
     SearchAndSubtractConfig,
@@ -110,15 +113,6 @@ class BatchClassifierPlan:
     def n_templates(self) -> int:
         return self.detector.n_templates
 
-    @property
-    def backend(self):
-        return self.detector.backend
-
-    def filter_bank(self, working: np.ndarray) -> np.ndarray:
-        """One batched filter-bank pass (see
-        :meth:`BatchDetectorPlan.filter_bank`)."""
-        return self.detector.filter_bank(working)
-
     def filter_pass(self, cirs: np.ndarray) -> np.ndarray:
         """Upsample + filter native-rate CIRs (see
         :meth:`BatchDetectorPlan.filter_pass`)."""
@@ -136,7 +130,6 @@ def batch_classifier_plan(
     upsample_factor: int,
     sampling_period_s: float,
     batch_size: int,
-    backend: Optional[str] = None,
 ) -> BatchClassifierPlan:
     """A memoised :class:`BatchClassifierPlan` for one batched shape.
 
@@ -144,13 +137,12 @@ def batch_classifier_plan(
     :class:`~repro.core.plan.DetectorPlan` (spectra, correlation tables)
     is shared with *every* path of this shape; the
     :class:`~repro.core.batch.BatchDetectorPlan` (batch scratch) is
-    shared with batched detection at the same B *and* backend; only the
+    shared with batched detection at the same B; only the
     classifier binding itself is stored per ``kind="classifier"`` key.
     All lookups count toward the ``detector_plans`` hit rate in the
     metrics report.
     """
     templates = list(bank)
-    resolved = resolve_backend(backend)
     key = plan_cache_key(
         templates,
         cir_length,
@@ -158,7 +150,6 @@ def batch_classifier_plan(
         sampling_period_s,
         batch_size=batch_size,
         kind="classifier",
-        backend=resolved.name,
     )
 
     def _build() -> BatchClassifierPlan:
@@ -169,7 +160,6 @@ def batch_classifier_plan(
                 upsample_factor,
                 sampling_period_s,
                 batch_size,
-                backend=resolved.name,
             )
             return BatchClassifierPlan(detector, bank)
 
@@ -210,8 +200,8 @@ def classify_batch(
         Optional explicit :class:`BatchClassifierPlan`, bypassing the
         plan cache — required when several threads classify
         concurrently, because cached plans share mutable scratch (see
-        :func:`repro.core.batch.detect_batch`).  The plan's shape and
-        bank must match the call.
+        :func:`repro.core.batch.detect_batch`).  The plan's shape, fine
+        tap period and bank must match the call.
 
     Returns
     -------
@@ -250,26 +240,22 @@ def classify_batch(
             batch_size,
         )
     else:
-        from repro.core.batch import _check_plan_shape
-
-        _check_plan_shape(
-            plan.detector, batch_size, cir_length, config.upsample_factor
+        _check_plan(
+            plan.detector,
+            None if plan.bank is bank else list(bank),
+            sampling_period_s,
+            batch_size,
+            cir_length,
+            config.upsample_factor,
         )
-        if plan.bank is not bank and len(plan.bank) != len(bank):
-            raise ValueError(
-                f"explicit plan bank has {len(plan.bank)} templates, "
-                f"call supplied {len(bank)}"
-            )
     with metrics.timer("classifier.batch_filter_pass").time():
         outputs = plan.filter_pass(cirs)
         magnitudes = plan.magnitudes(outputs)
-    host_outputs = plan.backend.to_numpy(outputs)
-    host_magnitudes = plan.backend.to_numpy(magnitudes)
     with metrics.timer("classifier.batch_extract").time():
         extracted = extract_responses_batch(
             plan.detector.base,
-            host_outputs,
-            host_magnitudes,
+            outputs,
+            magnitudes,
             config,
             sampling_period_s,
             stds,

@@ -28,12 +28,8 @@ Conventions shared by every implementation:
   ``detect(cirs[b], ...)`` (enforced at ``rtol <= 1e-9`` by
   ``tests/test_properties_detection.py``).
 * Responses come back sorted by delay ascending.
-* The batched forms run their transforms on the process-selected array
-  backend (:mod:`repro.core.backend` — NumPy/SciPy by default,
-  optionally CuPy or torch via ``set_backend``/``REPRO_BACKEND``).
-  Backend choice never changes results beyond the ``rtol <= 1e-9``
-  contract; the plan cache keys plans per backend so engines pick the
-  seam up transparently.
+* The batched forms run their transforms on NumPy through
+  ``scipy.fft`` (``workers=-1``).
 
 The protocols are :func:`typing.runtime_checkable`, so
 ``isinstance(engine, Engine)`` verifies structural conformance (method

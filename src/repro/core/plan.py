@@ -338,7 +338,6 @@ def plan_cache_key(
     sampling_period_s: float,
     batch_size: int | None = None,
     kind: str = "detector",
-    backend: str | None = None,
 ) -> tuple:
     """The ``detector_plans`` cache key for one detection shape.
 
@@ -363,12 +362,6 @@ def plan_cache_key(
     :class:`~repro.core.batch_id.BatchClassifierPlan` wrappers under
     ``"classifier"`` so they can never shadow — or be shadowed by — a
     :class:`~repro.core.batch.BatchDetectorPlan` of the same shape.
-
-    ``backend`` names the array backend a batched plan's scratch
-    buffers live on (:mod:`repro.core.backend`); ``None`` normalises to
-    ``"numpy"`` (the host default, and the only thing single-CIR plans
-    ever run on), so a CuPy plan holding device arrays can never be
-    served to a NumPy caller or vice versa.
     """
     return (
         str(kind),
@@ -377,7 +370,6 @@ def plan_cache_key(
         int(upsample_factor),
         float(sampling_period_s),
         "single" if batch_size is None else ("batch", int(batch_size)),
-        str(backend) if backend is not None else "numpy",
     )
 
 

@@ -102,10 +102,8 @@ class WorkloadShape:
 
 #: Scratch-memory ceiling for one batched engine pass (the
 #: ``(B, n_templates, fft_length)`` complex product buffer plus its
-#: inverse-transform output) used by :func:`choose_batch_size` when the
-#: selected array backend does not report its own budget.  Matches
-#: :data:`repro.core.backend.DEFAULT_HOST_MEMORY_BUDGET` (kept as a
-#: literal here to avoid a runtime -> core import at module load).
+#: inverse-transform output) used by :func:`choose_batch_size` when no
+#: budget is passed.
 MAX_BATCH_SCRATCH_BYTES = 256 * 1024 * 1024
 
 #: Largest batch size :func:`choose_batch_size` will ever pick; beyond
@@ -141,26 +139,16 @@ def choose_batch_size(
 
     The result is rounded down to a power of two so chunks split into
     even groups, and is always >= 1.  Determinism note: the choice
-    depends only on the arguments and the configured array backend —
-    never on runtime load — so a run with ``batch_size="auto"`` is
-    exactly reproducible (and, by the :class:`BatchTrial` equivalence
-    contract, equals the ``batch_size=1`` run anyway).  With
-    ``memory_budget_bytes=None`` the budget comes from the selected
-    backend (:meth:`repro.core.backend.ArrayBackend.memory_budget_bytes`
-    — a fixed host constant for NumPy, free device memory for GPU
-    backends); note a GPU budget *is* load-dependent, so pass an
-    explicit budget when byte-stable auto sizing matters there.
+    depends only on the arguments — never on runtime load — so a run
+    with ``batch_size="auto"`` is exactly reproducible (and, by the
+    :class:`BatchTrial` equivalence contract, equals the
+    ``batch_size=1`` run anyway).  ``memory_budget_bytes=None`` means
+    :data:`MAX_BATCH_SCRATCH_BYTES`.
     """
     if n_trials <= 1 or cir_length < 1 or bank_size < 1:
         return 1
     if memory_budget_bytes is None:
-        # Imported lazily: repro.core modules import this one at load.
-        from repro.core.backend import get_backend
-
-        try:
-            memory_budget_bytes = get_backend().memory_budget_bytes()
-        except Exception:
-            memory_budget_bytes = MAX_BATCH_SCRATCH_BYTES
+        memory_budget_bytes = MAX_BATCH_SCRATCH_BYTES
     # Two complex (B, bank, padded-length) tensors; the padded FFT
     # length is ~2x the upsampled CIR length (next_fast_len of the full
     # linear-correlation support).

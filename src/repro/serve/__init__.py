@@ -11,8 +11,8 @@ serving stack:
   multi-process) behind one submit surface with retry-after-honouring
   helpers.
 * :class:`ServeConfig` — the one dataclass describing a deployment:
-  shards, workers, queue depths, deadlines, rate limits, backend,
-  defense; everything validates eagerly.
+  shards, workers, queue depths, deadlines, rate limits, defense;
+  everything validates eagerly.
 * :class:`RangingService` — the in-process core: sharded worker pool
   with per-session FIFO ordering, dynamic micro-batching (flush on
   batch-full or deadline), bounded ingress queues with
@@ -43,7 +43,6 @@ from repro.serve.ratelimit import RateLimitConfig, SessionRateLimiter
 from repro.serve.request import (
     RangingOutcome,
     RangingRequest,
-    RangingResult,
     RateLimitedError,
     ServiceOverloadedError,
     ServiceRejectedError,
@@ -64,7 +63,6 @@ __all__ = [
     "SessionRateLimiter",
     "RangingOutcome",
     "RangingRequest",
-    "RangingResult",
     "RateLimitedError",
     "ServiceOverloadedError",
     "ServiceRejectedError",

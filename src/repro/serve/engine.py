@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backend import resolve_backend
 from repro.core.batch import BatchDetectorPlan, detect_batch
 from repro.core.batch_id import BatchClassifierPlan, classify_batch
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
@@ -62,13 +61,6 @@ class EngineConfig:
         Expected CIR length, used only to auto-size micro-batches
         (``batch_size="auto"``); requests of other lengths still serve
         (they form their own sub-batches).
-    backend:
-        Array-backend name for the shard plans' batched transforms
-        (``"numpy"``/``"cupy"``/``"torch"``, see
-        :mod:`repro.core.backend`); ``None`` follows the process
-        default (``set_backend`` / ``REPRO_BACKEND`` / numpy).
-        Validated eagerly so a service never boots on a backend it
-        cannot run.
     """
 
     def __init__(
@@ -78,7 +70,6 @@ class EngineConfig:
         mode: str = "detect",
         config: Optional[SearchAndSubtractConfig] = None,
         cir_length: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         if mode not in ("detect", "classify"):
             raise ValueError(
@@ -91,7 +82,6 @@ class EngineConfig:
         self.mode = mode
         self.config = config or SearchAndSubtractConfig()
         self.cir_length = None if cir_length is None else int(cir_length)
-        self.backend = resolve_backend(backend).name
 
 
 class ShardEngine:
@@ -123,7 +113,7 @@ class ShardEngine:
                 engine.config.upsample_factor,
                 engine.sampling_period_s,
             )
-            detector = BatchDetectorPlan(base, batch_size, backend=engine.backend)
+            detector = BatchDetectorPlan(base, batch_size)
             if engine.mode == "classify":
                 plan = BatchClassifierPlan(detector, engine.bank)
             else:

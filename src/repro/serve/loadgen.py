@@ -345,10 +345,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         help="token-bucket burst capacity per session",
     )
     parser.add_argument(
-        "--backend", default=None,
-        help="array backend override for the engine (e.g. numpy)",
-    )
-    parser.add_argument(
         "--batch-size", default="auto",
         help="micro-batch size per shard (int or 'auto')",
     )
@@ -422,7 +418,6 @@ async def _amain(args: argparse.Namespace) -> Dict[str, object]:
                 args.rate_limit, burst=args.rate_limit_burst
             )
         ),
-        backend=args.backend,
     )
     client = AsyncRangingClient(config)
     await client.start()
@@ -476,7 +471,6 @@ async def _amain(args: argparse.Namespace) -> Dict[str, object]:
         "shards": args.shards,
         "workers": args.workers,
         "rate_limit_rps": args.rate_limit,
-        "backend": args.backend,
         "batch_size": getattr(
             client.deployment, "batch_size", batch_size
         ),

@@ -38,14 +38,12 @@ registry and the completion bookkeeping never race.
 from __future__ import annotations
 
 import asyncio
-import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Union
 
 from repro.constants import CIR_LENGTH_PRF64
-from repro.core.backend import resolve_backend
 from repro.protocol.defense import DefensePlan, screen_responses
 from repro.runtime.executor import choose_batch_size
 from repro.runtime.metrics import MetricsRegistry
@@ -113,9 +111,6 @@ class ServeConfig:
         Optional per-session token bucket
         (:class:`~repro.serve.ratelimit.RateLimitConfig`) enforced
         ahead of the shard queues; ``None`` disables rate limiting.
-    backend:
-        Array-backend override for the engine (``"numpy"`` etc.);
-        ``None`` keeps the engine's own choice.  Validated eagerly.
     defense:
         Optional :class:`~repro.protocol.defense.DefensePlan` whose
         CIR-only anomaly checks *annotate* served outcomes
@@ -138,7 +133,6 @@ class ServeConfig:
     engine: Optional[EngineConfig] = None
     workers: int = 0
     rate_limit: Optional[RateLimitConfig] = None
-    backend: Optional[str] = None
     defense: Optional[DefensePlan] = None
     heartbeat_interval_s: float = 0.25
     heartbeat_timeout_s: float = 2.0
@@ -197,8 +191,6 @@ class ServeConfig:
                 "rate_limit must be a RateLimitConfig or None, got "
                 f"{type(self.rate_limit).__name__}"
             )
-        if self.backend is not None:
-            resolve_backend(self.backend)  # raises if unknown/unavailable
         if self.defense is not None and not isinstance(
             self.defense, DefensePlan
         ):
@@ -224,22 +216,13 @@ class ServeConfig:
             )
 
     def resolved_engine(self) -> EngineConfig:
-        """The engine to deploy, with the ``backend`` override applied."""
+        """The engine to deploy; building a deployment requires one."""
         if self.engine is None:
             raise ValueError(
                 "ServeConfig.engine is required to build a deployment "
                 "(pass engine=EngineConfig(...))"
             )
-        if self.backend is None or self.backend == self.engine.backend:
-            return self.engine
-        return EngineConfig(
-            bank=self.engine.bank,
-            sampling_period_s=self.engine.sampling_period_s,
-            mode=self.engine.mode,
-            config=self.engine.config,
-            cir_length=self.engine.cir_length,
-            backend=self.backend,
-        )
+        return self.engine
 
     def worker_local(self) -> "ServeConfig":
         """This config as seen *inside* one worker process.
@@ -285,41 +268,21 @@ class RangingService:
             ServeConfig(engine=EngineConfig(bank, period), n_shards=4)
         )
 
-    The pre-redesign two-argument signature
-    ``RangingService(engine_config, serve_config)`` still works behind
-    a :class:`DeprecationWarning` shim.  For ``workers >= 1`` use
+    For ``workers >= 1`` use
     :class:`~repro.serve.supervisor.RangingServer` (or, better, the
     :class:`~repro.serve.client.RangingClient`, which picks for you).
     """
 
     def __init__(
         self,
-        engine: Union[EngineConfig, ServeConfig, None] = None,
-        config: Optional[ServeConfig] = None,
+        config: ServeConfig,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if isinstance(engine, EngineConfig):
-            warnings.warn(
-                "RangingService(engine, config) is deprecated; use "
-                "RangingService.build(ServeConfig(engine=..., ...))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = replace(config or ServeConfig(), engine=engine)
-        elif isinstance(engine, ServeConfig):
-            if config is not None:
-                raise TypeError(
-                    "pass either a ServeConfig or the deprecated "
-                    "(EngineConfig, ServeConfig) pair, not two configs"
-                )
-            config = engine
-        elif engine is not None:
+        if not isinstance(config, ServeConfig):
             raise TypeError(
-                "first argument must be a ServeConfig (or, deprecated, "
-                f"an EngineConfig), got {type(engine).__name__}"
+                "RangingService needs a ServeConfig, got "
+                f"{type(config).__name__}"
             )
-        elif config is None:
-            raise TypeError("RangingService needs a ServeConfig")
         if config.workers >= 1:
             raise ValueError(
                 f"ServeConfig.workers={config.workers} describes a "

@@ -131,7 +131,7 @@ class TestAblations:
 
 class TestLocalization:
     def test_median_error(self):
-        result = localization_exp.run(n_waypoints=6)
+        result = localization_exp.run(trials=6)
         assert result.metric("median_error_m").measured < 0.3
 
 

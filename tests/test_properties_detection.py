@@ -28,12 +28,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import CIR_SAMPLING_PERIOD_S
-from repro.core.backend import (
-    BackendUnavailable,
-    available_backends,
-    get_backend,
-    set_backend,
-)
 from repro.core.batch import BatchDetectorPlan, batch_detector_plan, detect_batch
 from repro.core.detection import SearchAndSubtract, SearchAndSubtractConfig
 from repro.core.plan import DetectorPlan, detector_plan, plan_cache_key
@@ -242,77 +236,6 @@ class TestRaggedEarlyStop:
         ) == []
 
 
-class TestBackendSelection:
-    """The array-backend seam: selection precedence, validation, cache
-    keying, and the invariant that forcing the default backend changes
-    nothing about the results."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_selection(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        set_backend(None)
-        yield
-        set_backend(None)
-
-    def test_default_is_numpy(self):
-        assert get_backend().name == "numpy"
-
-    def test_env_round_trip(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert get_backend().name == "numpy"
-        monkeypatch.delenv("REPRO_BACKEND")
-        assert get_backend().name == "numpy"
-
-    def test_env_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda9000")
-        with pytest.raises(ValueError, match="cuda9000"):
-            get_backend()
-
-    def test_set_backend_unknown_rejected(self):
-        with pytest.raises(ValueError, match="not-a-backend"):
-            set_backend("not-a-backend")
-
-    def test_set_backend_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "cuda9000")
-        set_backend("numpy")  # explicit selection wins over the env var
-        assert get_backend().name == "numpy"
-
-    def test_unavailable_accelerators_raise(self):
-        availability = available_backends()
-        assert availability["numpy"] is True
-        for name in ("cupy", "torch"):
-            if not availability[name]:
-                with pytest.raises(BackendUnavailable):
-                    get_backend(name)
-
-    def test_explicit_numpy_matches_default(self):
-        """Forcing the default backend is a no-op on results: the
-        explicit-numpy batch equals the default-selection batch."""
-        rng = np.random.default_rng(23)
-        cirs = np.stack([_random_cir(rng, 318, 2) for _ in range(3)])
-        config = SearchAndSubtractConfig(max_responses=2)
-        default = detect_batch(cirs, _BANK, TS, config, noise_std=0.01)
-        set_backend("numpy")
-        forced = detect_batch(cirs, _BANK, TS, config, noise_std=0.01)
-        assert len(forced) == len(default)
-        for got, want in zip(forced, default):
-            _assert_responses_close(got, want)
-
-    def test_plan_cache_key_carries_backend(self):
-        default = plan_cache_key([_PULSE], 509, 8, TS, batch_size=4)
-        explicit = plan_cache_key(
-            [_PULSE], 509, 8, TS, batch_size=4, backend="numpy"
-        )
-        assert default == explicit  # numpy IS the default component
-        assert default != plan_cache_key(
-            [_PULSE], 509, 8, TS, batch_size=4, backend="cupy"
-        )
-
-    def test_batch_plan_records_backend(self):
-        plan = batch_detector_plan([_PULSE], 509, 8, TS, batch_size=2)
-        assert plan.backend.name == "numpy"
-
-
 class TestThresholdEnginesAgree:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -420,6 +343,14 @@ class TestPlanCacheBatchKey:
         assert plan_cache_key([_PULSE], 509, 8, TS, batch_size=8) == (
             plan_cache_key([dw1000_pulse()], 509, 8, TS, batch_size=8)
         )
+
+    def test_key_shape(self):
+        """(kind, templates, N, U, period, batch shape) and nothing else."""
+        key = plan_cache_key([_PULSE], 509, 8, TS, batch_size=4)
+        assert len(key) == 6
+        assert key[0] == "detector"
+        assert len(key[1]) == 1
+        assert key[2:] == (509, 8, float(TS), ("batch", 4))
 
     def test_plan_types_never_cross(self):
         """Warm both caches for one shape; each lookup must return its
@@ -622,3 +553,70 @@ class TestPlanFamilyKeys:
         detector = batch_detector_plan([_PULSE], 509, 8, TS, 2)
         with pytest.raises(ValueError, match="templates"):
             BatchClassifierPlan(detector, TemplateBank.paper_bank(3))
+
+
+class TestExplicitPlanMustMatchCall:
+    """An explicit ``plan=`` is checked against the call's bank and tap
+    period, not only its (B, N, U) shape: a plan built for another bank
+    or period would range the call with the wrong templates."""
+
+    _OTHER_BANK = TemplateBank([0xA0, 0xB0, 0xFF])
+
+    @staticmethod
+    def _cirs():
+        rng = np.random.default_rng(41)
+        return np.stack([_random_cir(rng, 318, 2) for _ in range(2)])
+
+    @staticmethod
+    def _plan(bank, sampling_period_s=TS):
+        base = detector_plan(list(bank), 318, 8, sampling_period_s)
+        return BatchDetectorPlan(base, 2)
+
+    def test_detect_rejects_other_bank(self):
+        plan = self._plan(TemplateBank.paper_bank(3))
+        with pytest.raises(ValueError, match="template bank"):
+            detect_batch(self._cirs(), self._OTHER_BANK, TS, plan=plan)
+
+    def test_detect_rejects_other_period(self):
+        bank = TemplateBank.paper_bank(3)
+        with pytest.raises(ValueError, match="tap period"):
+            detect_batch(self._cirs(), bank, 2 * TS, plan=self._plan(bank))
+
+    def test_classify_rejects_other_bank(self):
+        from repro.core.batch_id import BatchClassifierPlan, classify_batch
+
+        bank = TemplateBank.paper_bank(3)
+        plan = BatchClassifierPlan(self._plan(bank), bank)
+        with pytest.raises(ValueError, match="template bank"):
+            classify_batch(self._cirs(), self._OTHER_BANK, TS, plan=plan)
+
+    def test_classify_rejects_other_period(self):
+        from repro.core.batch_id import BatchClassifierPlan, classify_batch
+
+        bank = TemplateBank.paper_bank(3)
+        plan = BatchClassifierPlan(self._plan(bank), bank)
+        with pytest.raises(ValueError, match="tap period"):
+            classify_batch(self._cirs(), bank, 2 * TS, plan=plan)
+
+    def test_matching_plan_equals_cached_path(self):
+        """An equal bank (another object) and the plan's own bank both
+        pass the check and range exactly as the cached plan does."""
+        from repro.core.batch_id import BatchClassifierPlan, classify_batch
+
+        bank = TemplateBank.paper_bank(3)
+        config = SearchAndSubtractConfig(max_responses=2)
+        cirs = self._cirs()
+        detector_plan_ = self._plan(bank)
+        want = detect_batch(cirs, bank, TS, config, noise_std=0.01)
+        got = detect_batch(
+            cirs, TemplateBank.paper_bank(3), TS, config, noise_std=0.01,
+            plan=detector_plan_,
+        )
+        assert got == want
+        plan = BatchClassifierPlan(detector_plan_, bank)
+        want = classify_batch(cirs, bank, TS, config, noise_std=0.01)
+        for call_bank in (bank, TemplateBank.paper_bank(3)):
+            got = classify_batch(
+                cirs, call_bank, TS, config, noise_std=0.01, plan=plan
+            )
+            assert got == want

@@ -376,3 +376,29 @@ class TestPoolStartFailure:
             ParallelExecutor(workers=2, policy=policy).run(
                 draw_normal, 6, seed=3
             )
+
+
+class TestChooseBatchSize:
+    @pytest.mark.parametrize(
+        "cir_length, bank_size", [(1016, 96), (16384, 96)]
+    )
+    def test_default_budget_is_the_scratch_ceiling(
+        self, cir_length, bank_size
+    ):
+        from repro.runtime.executor import (
+            MAX_AUTO_BATCH,
+            MAX_BATCH_SCRATCH_BYTES,
+            choose_batch_size,
+        )
+
+        def pick(budget):
+            return choose_batch_size(
+                256, cir_length, bank_size, memory_budget_bytes=budget
+            )
+
+        default = pick(None)
+        assert default == pick(MAX_BATCH_SCRATCH_BYTES)
+        # The memory cap binds on these shapes: a larger budget picks a
+        # larger batch, so the equality above is not vacuous.
+        assert default < MAX_AUTO_BATCH
+        assert pick(64 * MAX_BATCH_SCRATCH_BYTES) > default

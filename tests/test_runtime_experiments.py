@@ -23,8 +23,6 @@ from repro.experiments import (
 )
 from repro.runtime import MetricsRegistry
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 class TestSerialParallelEquality:
     def test_table1(self):

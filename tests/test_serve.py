@@ -24,6 +24,7 @@ pytest-asyncio dependency).
 
 import asyncio
 import json
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -73,7 +74,9 @@ def _requests(pool=POOL, session="s-0", deadline_s=None):
 
 async def _serve_all(requests, serve_config, engine=None):
     """Start a service, submit everything concurrently, drain, stop."""
-    service = RangingService(engine or _engine(), serve_config)
+    service = RangingService.build(
+        replace(serve_config, engine=engine or _engine())
+    )
     await service.start()
     try:
         results = await asyncio.gather(
@@ -192,9 +195,9 @@ class TestStreamingEqualsOffline:
 class TestOrderingAndBatching:
     def test_per_session_fifo_completion(self):
         async def scenario():
-            service = RangingService(
-                _engine(),
+            service = RangingService.build(
                 ServeConfig(
+                    engine=_engine(),
                     n_shards=2, batch_size=3, max_batch_delay_s=0.002
                 ),
             )
@@ -216,9 +219,9 @@ class TestOrderingAndBatching:
 
     def test_flush_causes_accounted(self):
         async def scenario():
-            service = RangingService(
-                _engine(),
+            service = RangingService.build(
                 ServeConfig(
+                    engine=_engine(),
                     n_shards=1, batch_size=4, max_batch_delay_s=0.002
                 ),
             )
@@ -246,8 +249,8 @@ class TestOrderingAndBatching:
         assert deadline >= 1
 
     def test_auto_batch_size_resolution(self):
-        service = RangingService(
-            _engine(), ServeConfig(batch_size="auto")
+        service = RangingService.build(
+            ServeConfig(engine=_engine(), batch_size="auto")
         )
         assert isinstance(service.batch_size, int)
         assert 1 <= service.batch_size <= 64
@@ -269,9 +272,9 @@ class TestOrderingAndBatching:
 class TestBackpressure:
     def test_full_queue_rejects_with_retry_after(self):
         async def scenario():
-            service = RangingService(
-                _engine(),
+            service = RangingService.build(
                 ServeConfig(
+                    engine=_engine(),
                     n_shards=1,
                     batch_size=64,
                     max_batch_delay_s=5.0,
@@ -303,7 +306,7 @@ class TestBackpressure:
         assert accepted == 2
 
     def test_enqueue_requires_running_service(self):
-        service = RangingService(_engine())
+        service = RangingService.build(ServeConfig(engine=_engine()))
         with pytest.raises(RuntimeError):
             service.enqueue(_requests(POOL[:1])[0])
 
@@ -311,9 +314,9 @@ class TestBackpressure:
 class TestDeadlines:
     def test_expired_request_is_shed_not_served(self):
         async def scenario():
-            service = RangingService(
-                _engine(),
+            service = RangingService.build(
                 ServeConfig(
+                    engine=_engine(),
                     n_shards=1, batch_size=8, max_batch_delay_s=0.05
                 ),
             )
@@ -384,9 +387,9 @@ class TestDegradation:
 class TestAccounting:
     def test_non_drain_stop_cancels_pending_exactly_once(self):
         async def scenario():
-            service = RangingService(
-                _engine(),
+            service = RangingService.build(
                 ServeConfig(
+                    engine=_engine(),
                     n_shards=2,
                     batch_size=64,
                     max_batch_delay_s=5.0,
@@ -424,9 +427,9 @@ class TestAccounting:
         batch deadline) and every request is accounted exactly once."""
 
         async def scenario():
-            service = RangingService(
-                _engine(),
+            service = RangingService.build(
                 ServeConfig(
+                    engine=_engine(),
                     n_shards=1,
                     batch_size=64,
                     max_batch_delay_s=5.0,
@@ -458,9 +461,9 @@ class TestAccounting:
 
     def test_caller_cancellation_is_accounted(self):
         async def scenario():
-            service = RangingService(
-                _engine(),
+            service = RangingService.build(
                 ServeConfig(
+                    engine=_engine(),
                     n_shards=1, batch_size=4, max_batch_delay_s=0.05
                 ),
             )
@@ -484,9 +487,9 @@ class TestAccounting:
 
     def test_loadgen_accounting_under_pressure(self):
         async def scenario():
-            service = RangingService(
-                _engine(),
+            service = RangingService.build(
                 ServeConfig(
+                    engine=_engine(),
                     n_shards=2,
                     batch_size=4,
                     max_batch_delay_s=0.002,
@@ -528,8 +531,8 @@ class TestEndpoints:
 
     def test_metrics_and_healthz(self):
         async def scenario():
-            service = RangingService(
-                _engine(), ServeConfig(n_shards=2, batch_size=4)
+            service = RangingService.build(
+                ServeConfig(engine=_engine(), n_shards=2, batch_size=4)
             )
             await service.start()
             server = await MetricsServer(service).start()
